@@ -57,9 +57,23 @@ using ExprPtr = std::unique_ptr<Expr>;
 
 /// Static per-step plan, filled in by xpath::Compile's analysis pass
 /// (compiled.h) after parsing. Default-constructed steps carry no plan
-/// and evaluate exactly as before — the plan only ever *narrows* work
-/// the evaluator would do anyway, so plan-less and planned evaluation
-/// are equivalent by construction.
+/// and evaluate exactly as before; the plan only narrows work the
+/// evaluator would do anyway.
+///
+/// The same pass also rewrites the AST in one place, so a compiled
+/// query is no longer the parse tree step for step: an absolute path
+/// whose first two steps are the bare `//` expansion
+/// `descendant-or-self::node()` and `child(h?)::T[p]` (T a name or
+/// `*`, every p statically boolean-typed and free of position() and
+/// last()) becomes `descendant(h?)::T[p]`. From the document node both
+/// forms select the root plus the attached elements of h named T (every
+/// attached element is a child of the root or of an attached element of
+/// its own hierarchy, leaves have no children, and the (h, T) pool
+/// holds exactly the attached elements), and a predicate that reads
+/// neither position nor size keeps the same nodes whether it filters
+/// per parent window or over the whole pool. Plan-less evaluation of
+/// the parsed AST stays the oracle the compiled form is tested
+/// against.
 struct StepPlan {
   /// A leading positional predicate the indexed evaluator may push
   /// into the SnapshotIndex pool scan instead of materialising the

@@ -51,6 +51,82 @@ StepPlan::Positional LeadingPositional(const Step& step) {
   return StepPlan::Positional::kNone;
 }
 
+/// True when `pred` is statically boolean-typed: whatever the context,
+/// its value is a boolean, node-set or string, which a predicate reads
+/// as a truth value and never as a proximity position.
+bool IsBooleanTyped(const Expr& pred) {
+  switch (pred.kind) {
+    case Expr::Kind::kOr:
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kEquals:
+    case Expr::Kind::kNotEquals:
+    case Expr::Kind::kLess:
+    case Expr::Kind::kLessEq:
+    case Expr::Kind::kGreater:
+    case Expr::Kind::kGreaterEq:
+    case Expr::Kind::kPath:
+    case Expr::Kind::kUnion:
+    case Expr::Kind::kLiteral:
+      return true;
+    case Expr::Kind::kFunction: {
+      const std::string& f = pred.string_value;
+      return f == "not" || f == "boolean" || f == "contains" ||
+             f == "starts-with" || f == "true" || f == "false";
+    }
+    default:
+      return false;
+  }
+}
+
+/// True when `expr` calls position() or last() anywhere, nested
+/// predicates and paths included.
+bool CallsPositionOrLast(const Expr& expr) {
+  if (expr.kind == Expr::Kind::kFunction &&
+      (expr.string_value == "position" || expr.string_value == "last")) {
+    return true;
+  }
+  for (const ExprPtr& child : expr.children) {
+    if (CallsPositionOrLast(*child)) return true;
+  }
+  for (const ExprPtr& pred : expr.predicates) {
+    if (CallsPositionOrLast(*pred)) return true;
+  }
+  for (const Step& step : expr.path.steps) {
+    for (const ExprPtr& pred : step.predicates) {
+      if (CallsPositionOrLast(*pred)) return true;
+    }
+  }
+  return false;
+}
+
+/// The leading-`//` rewrite (soundness argument: StepPlan in ast.h):
+/// an absolute path starting with the bare `descendant-or-self::node()`
+/// expansion followed by `child(h?)::T[p]` (T a name or `*`, every p
+/// boolean-typed and position-free) merges the two steps into
+/// `descendant(h?)::T[p]`. Inner `//` (after a first step, or after a
+/// filter's primary) is never rewritten: from an element context the
+/// child walk reaches only the tree children of what lies inside it.
+void RewriteLeadingDoubleSlash(LocationPath* path) {
+  if (!path->absolute || path->steps.size() < 2) return;
+  const Step& dos = path->steps[0];
+  if (dos.axis != AxisKind::kDescendantOrSelf ||
+      dos.test.kind != NodeTest::Kind::kNode || !dos.hierarchy.empty() ||
+      !dos.predicates.empty()) {
+    return;
+  }
+  const Step& child = path->steps[1];
+  if (child.axis != AxisKind::kChild ||
+      (child.test.kind != NodeTest::Kind::kName &&
+       child.test.kind != NodeTest::Kind::kAnyName)) {
+    return;
+  }
+  for (const ExprPtr& pred : child.predicates) {
+    if (!IsBooleanTyped(*pred) || CallsPositionOrLast(*pred)) return;
+  }
+  path->steps.erase(path->steps.begin());
+  path->steps[0].axis = AxisKind::kDescendant;
+}
+
 struct Analysis {
   std::vector<std::string>* hierarchies;
   std::vector<std::string>* tags;
@@ -59,6 +135,7 @@ struct Analysis {
 void AnalyzeExpr(Expr* expr, const Analysis& a);
 
 void AnalyzePath(LocationPath* path, const Analysis& a) {
+  RewriteLeadingDoubleSlash(path);
   for (Step& step : path->steps) {
     step.plan.uses_pools = AxisUsesPools(step.axis);
     step.plan.index_friendly = step.plan.uses_pools;

@@ -34,6 +34,21 @@ uint64_t CanonicalHash(std::string_view canonical);
 /// whitespace and abbreviation variants of one query collapse to one
 /// identity), its hash, and the referenced hierarchy qualifiers and
 /// element tags.
+///
+/// Before annotating, the analysis applies one rewrite to every
+/// absolute path, nested ones included: a leading
+/// `//T[p]` (`descendant-or-self::node()/child(h?)::T[p]`, T a name or
+/// `*`, every p boolean-typed and free of position()/last()) becomes
+/// `descendant(h?)::T[p]`, answered from the (hierarchy, tag) pool
+/// instead of one child walk per GODDAG node. From the document node
+/// the child walk reaches exactly the root plus the attached elements
+/// of h named T, which is what the pool holds, and a predicate blind to
+/// position and size filters a parent window and the whole pool alike;
+/// StepPlan (ast.h) spells the argument out. Positional or numeric
+/// predicates (`//line[9]`, `//w[count(x)]`), variable predicates,
+/// text()/node() tests and inner `//` keep their parsed shape. The
+/// canonical text is rendered after the rewrite, so `//w` and
+/// `/descendant::w` share one identity.
 class CompiledQuery {
  public:
   /// The expression text as given to Compile.

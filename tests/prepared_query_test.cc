@@ -213,17 +213,18 @@ TEST(CompiledQuery, AnalysisRecordsPlansAndReferences) {
 
   const xpath::Expr& expr = (*compiled)->expr();
   ASSERT_EQ(expr.kind, xpath::Expr::Kind::kPath);
-  // Steps: descendant-or-self::node() / child::line /
-  // descendant(linguistic)::w[1].
-  ASSERT_EQ(expr.path.steps.size(), 3u);
-  const xpath::Step& dos = expr.path.steps[0];
-  EXPECT_TRUE(dos.plan.uses_pools);
-  EXPECT_TRUE(dos.plan.index_friendly);
-  EXPECT_EQ(dos.plan.positional, xpath::StepPlan::Positional::kNone);
-  const xpath::Step& child = expr.path.steps[1];
-  EXPECT_FALSE(child.plan.uses_pools);
-  EXPECT_FALSE(child.plan.index_friendly);
-  const xpath::Step& desc = expr.path.steps[2];
+  // The leading `//line` is rewritten to one pool-backed step, so the
+  // steps are descendant::line / descendant(linguistic)::w[1].
+  ASSERT_EQ(expr.path.steps.size(), 2u);
+  const xpath::Step& line = expr.path.steps[0];
+  EXPECT_EQ(line.axis, xpath::AxisKind::kDescendant);
+  EXPECT_EQ(line.test.name, "line");
+  EXPECT_TRUE(line.plan.uses_pools);
+  EXPECT_TRUE(line.plan.index_friendly);
+  EXPECT_EQ(line.plan.positional, xpath::StepPlan::Positional::kNone);
+  const xpath::Step& desc = expr.path.steps[1];
+  EXPECT_EQ(desc.axis, xpath::AxisKind::kDescendant);
+  EXPECT_EQ(desc.hierarchy, "linguistic");
   EXPECT_TRUE(desc.plan.uses_pools);
   EXPECT_EQ(desc.plan.positional, xpath::StepPlan::Positional::kFirst);
 
@@ -236,6 +237,22 @@ TEST(CompiledQuery, AnalysisRecordsPlansAndReferences) {
   ASSERT_TRUE(guarded.ok());
   EXPECT_EQ((*guarded)->expr().path.steps.back().plan.positional,
             xpath::StepPlan::Positional::kNone);
+
+  // The rewrite makes `//w` and its `/descendant::w` twin one identity
+  // (one cache entry, one prepared handle)...
+  auto abbreviated = xpath::Compile("//w");
+  auto explicit_twin = xpath::Compile("/descendant::w");
+  ASSERT_TRUE(abbreviated.ok() && explicit_twin.ok());
+  EXPECT_EQ((*abbreviated)->canonical(), (*explicit_twin)->canonical());
+  EXPECT_EQ((*abbreviated)->canonical_hash(),
+            (*explicit_twin)->canonical_hash());
+  // ...but a positional predicate keeps them apart: `//line[9]` is the
+  // ninth line of each parent, `/descendant::line[9]` the ninth overall.
+  auto per_parent = xpath::Compile("//line[9]");
+  auto overall = xpath::Compile("/descendant::line[9]");
+  ASSERT_TRUE(per_parent.ok() && overall.ok());
+  EXPECT_NE((*per_parent)->canonical(), (*overall)->canonical());
+  EXPECT_NE((*per_parent)->canonical_hash(), (*overall)->canonical_hash());
 }
 
 // ----------------------------------------------- engine parse caches
