@@ -20,9 +20,15 @@
 
 namespace cxml::net {
 
-/// Per-connection state. The socket and the FrameDecoder belong to the
-/// poll thread alone; `mu` guards the request queue and the outbox,
-/// which are the only seams shared with worker threads.
+/// Per-connection state. The FrameDecoder and the read side of the
+/// socket belong to the poll thread alone; `mu` guards the request
+/// queue and the outbox, the seams shared with worker threads. Sends
+/// happen under `mu` from either side: the poll thread's FlushTo, or
+/// the connection's single active worker putting a response on the
+/// wire directly when the outbox was empty (Respond). Closing the
+/// socket stays with the poll thread, which marks the connection
+/// `dead` under `mu` first, so a worker that sees `!dead` under `mu`
+/// sends on an open fd.
 struct Server::Conn {
   Conn(Fd socket, size_t max_frame_bytes)
       : fd(std::move(socket)), fd_number(fd.get()),
@@ -53,11 +59,11 @@ struct Server::Conn {
   std::deque<Pending> requests;
   /// At most one worker drains `requests` at a time.
   bool worker_active = false;
-  /// Set (under `mu`) each time a worker finishes a request; the idle
-  /// sweep converts it into an activity refresh, so the deadline clock
-  /// measurably restarts when in-flight work completes — even though
-  /// the sweep runs before that work's response is flushed.
-  bool completed_work = false;
+  /// Stamped (under `mu`) each time a worker finishes a request; the
+  /// idle sweep folds it into `last_activity`, so the deadline clock
+  /// restarts when in-flight work completes — the worker sends without
+  /// waking the poll thread, so it cannot touch that clock itself.
+  std::chrono::steady_clock::time_point completed_at{};
   /// Rendered response frames awaiting POLLOUT, from `out_offset` on.
   std::string outbox;
   size_t out_offset = 0;
@@ -87,6 +93,35 @@ struct Server::Conn {
   bool HasOutput() {
     std::lock_guard<std::mutex> lock(mu);
     return out_offset < outbox.size();
+  }
+
+  /// Sends the outbox from `out_offset` until it drains, the socket
+  /// would block, or the send fails. Caller holds `mu`. Returns false
+  /// when the peer is gone.
+  bool SendOutboxLocked() {
+    bool ok = true;
+    while (out_offset < outbox.size()) {
+      ssize_t n = send(fd.get(), outbox.data() + out_offset,
+                       outbox.size() - out_offset,
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n > 0) {
+        out_offset += static_cast<size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      ok = false;  // peer vanished mid-response
+      break;
+    }
+    if (out_offset == outbox.size()) {
+      outbox.clear();
+      out_offset = 0;
+    } else if (out_offset > (1u << 20)) {
+      // Keep a slow reader's backlog from pinning flushed bytes.
+      outbox.erase(0, out_offset);
+      out_offset = 0;
+    }
+    return ok;
   }
 };
 
@@ -281,18 +316,18 @@ int Server::SweepIdle() {
         // the clock on real drain progress, so a peer that stops
         // reading its response still times out (slowloris guard).
         busy = conn->worker_active || !conn->requests.empty();
-        if (conn->completed_work) {
-          // Work finished since the last sweep (possibly with its
-          // response not yet flushed): that was activity, even though
-          // the worker can't touch the poll-thread-owned clock itself.
-          conn->completed_work = false;
-          conn->last_activity = now;
-        }
+        // Finished work was activity, whether or not its response
+        // has drained yet.
+        conn->last_activity =
+            std::max(conn->last_activity, conn->completed_at);
       }
       if (busy) {
         // A client waiting on a slow in-flight request is not idle —
-        // the deadline clock restarts when the work finishes.
+        // the deadline clock restarts when the work finishes. That
+        // finish wakes nobody, so look again one deadline from now.
         conn->last_activity = now;
+        const int full = options_.idle_timeout_ms + 1;
+        next_ms = next_ms < 0 ? full : std::min(next_ms, full);
         continue;
       }
       auto idle = now - conn->last_activity;
@@ -439,30 +474,14 @@ void Server::FlushTo(const std::shared_ptr<Conn>& conn) {
   bool close_now = false;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    while (conn->out_offset < conn->outbox.size()) {
-      ssize_t n = send(conn->fd.get(), conn->outbox.data() + conn->out_offset,
-                       conn->outbox.size() - conn->out_offset, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn->out_offset += static_cast<size_t>(n);
-        // A peer actively draining a large response is not idle, even
-        // if it has nothing new to ask yet.
-        conn->last_activity = std::chrono::steady_clock::now();
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      close_now = true;  // peer vanished mid-response
-      break;
+    const size_t unsent = conn->outbox.size() - conn->out_offset;
+    close_now = !conn->SendOutboxLocked();
+    if (conn->outbox.size() - conn->out_offset < unsent) {
+      // A peer actively draining a large response is not idle, even
+      // if it has nothing new to ask yet.
+      conn->last_activity = std::chrono::steady_clock::now();
     }
-    if (conn->out_offset == conn->outbox.size()) {
-      conn->outbox.clear();
-      conn->out_offset = 0;
-      if (conn->close_after_flush) close_now = true;
-    } else if (conn->out_offset > (1u << 20)) {
-      // Keep a slow reader's backlog from pinning flushed bytes.
-      conn->outbox.erase(0, conn->out_offset);
-      conn->out_offset = 0;
-    }
+    if (conn->outbox.empty() && conn->close_after_flush) close_now = true;
   }
   if (close_now) CloseConn(conn);
 }
@@ -491,6 +510,28 @@ void Server::CloseConn(const std::shared_ptr<Conn>& conn) {
   if (conns_.erase(conn->fd_number) > 0) open_conns_->Sub();
 }
 
+void Server::Respond(Conn* conn, const std::string& response) {
+  // Counted before the bytes can reach the peer, so a client that has
+  // its reply never reads a tally that misses it.
+  responses_sent_->Add();
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    // close_after_flush means the connection was poisoned by a
+    // framing error: nothing may follow the ERR frame.
+    if (!conn->dead && !conn->close_after_flush) {
+      const bool idle = conn->outbox.empty();
+      AppendFrame(&conn->outbox, response);
+      // Every earlier byte is on the wire, so this worker may send the
+      // frame itself; the poll thread hears of it only when bytes
+      // remain or the send failed (its FlushTo then closes).
+      wake = !idle || !conn->SendOutboxLocked() || !conn->outbox.empty();
+    }
+    conn->completed_at = std::chrono::steady_clock::now();
+  }
+  if (wake) Wake();
+}
+
 void Server::ServeConnection(std::shared_ptr<Conn> conn) {
   for (;;) {
     Conn::Pending pending;
@@ -503,43 +544,22 @@ void Server::ServeConnection(std::shared_ptr<Conn> conn) {
       pending = std::move(conn->requests.front());
       conn->requests.pop_front();
     }
-    if (!pending.shed) {
-      queued_total_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    std::string response;
     if (pending.shed) {
       // Refused admission under overload: answer without executing.
-      response = RenderError(status::Unavailable(StrFormat(
-          "server overloaded; retry_after_ms=%d",
-          options_.shed_retry_after_ms)));
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (!conn->dead && !conn->close_after_flush) {
-          AppendFrame(&conn->outbox, response);
-        }
-        conn->completed_work = true;
-      }
-      responses_sent_->Add();
-      Wake();
+      Respond(conn.get(), RenderError(status::Unavailable(StrFormat(
+                              "server overloaded; retry_after_ms=%d",
+                              options_.shed_retry_after_ms))));
       continue;
     }
+    queued_total_.fetch_sub(1, std::memory_order_relaxed);
     if (draining_.load(std::memory_order_relaxed)) {
       // Stop() in progress: this request was queued but never started,
       // so rejecting it leaves no half-done state — unlike the request
       // a worker is mid-way through, which runs to completion and acks.
       shed_total_->Add();
-      response = RenderError(status::Unavailable(StrFormat(
-          "server shutting down; retry_after_ms=%d",
-          options_.shed_retry_after_ms)));
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (!conn->dead && !conn->close_after_flush) {
-          AppendFrame(&conn->outbox, response);
-        }
-        conn->completed_work = true;
-      }
-      responses_sent_->Add();
-      Wake();
+      Respond(conn.get(), RenderError(status::Unavailable(StrFormat(
+                              "server shutting down; retry_after_ms=%d",
+                              options_.shed_retry_after_ms))));
       continue;
     }
     // One trace per request, opened before decode so its start is the
@@ -547,7 +567,7 @@ void Server::ServeConnection(std::shared_ptr<Conn> conn) {
     // threshold, and samples it into the TRACE ring.
     obs::Trace::Clock::time_point started = obs::Trace::Clock::now();
     obs::TracePtr trace = service_->tracer().Start();
-    response = HandleRequest(conn.get(), pending.payload, trace);
+    std::string response = HandleRequest(conn.get(), pending.payload, trace);
     if (auto stall =
             fault::Injector::Check(options_.injector, "net.write_stall_ms")) {
       // Injected response stall: the worker (not the poll thread)
@@ -555,22 +575,14 @@ void Server::ServeConnection(std::shared_ptr<Conn> conn) {
       // freezing every connection.
       std::this_thread::sleep_for(std::chrono::milliseconds(stall.value));
     }
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      // close_after_flush means the connection was poisoned by a
-      // framing error: nothing may follow the ERR frame.
-      if (!conn->dead && !conn->close_after_flush) {
-        AppendFrame(&conn->outbox, response);
-      }
-      conn->completed_work = true;
-    }
+    // Finished before Respond, which may put the reply on the wire:
+    // the peer's next TRACE or METRICS must already see this request.
     service_->tracer().Finish(trace);
     request_us_->Observe(
         std::chrono::duration<double, std::micro>(
             obs::Trace::Clock::now() - started)
             .count());
-    responses_sent_->Add();
-    Wake();
+    Respond(conn.get(), response);
   }
 }
 

@@ -28,8 +28,9 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back with port() after Start.
   uint16_t port = 0;
-  /// Workers handling decoded requests (QUERY additionally rides the
-  /// QueryService's own pool; these threads mostly block on it).
+  /// Workers handling decoded requests. Result-cache hits are answered
+  /// on these threads; a miss rides the QueryService's own pool while
+  /// its worker blocks on it.
   size_t num_workers = 4;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// When false, REGISTER/IMPORT/REMOVE answer ERR Unimplemented — a
@@ -112,10 +113,11 @@ struct ServerStats {
   uint64_t sheds = 0;
 };
 
-/// The CXP/1 network front-end: one poll(2) loop owns every socket
-/// (accept, read, write — all non-blocking), a ThreadPool executes
-/// decoded requests against DocumentStore/QueryService, and a self-
-/// pipe lets workers hand finished responses back to the poll loop.
+/// The CXP/1 network front-end: one poll(2) loop accepts, reads and
+/// closes every socket (all non-blocking), a ThreadPool executes
+/// decoded requests against DocumentStore/QueryService and sends
+/// their replies when it can, and a self-pipe lets workers hand the
+/// unsent rest back to the poll loop.
 ///
 /// Per connection the receive side is a FrameDecoder state machine;
 /// decoded payloads queue per connection and at most one worker
@@ -141,9 +143,14 @@ struct ServerStats {
 /// document's pending writes — FIFO per document, with stale bases
 /// still losing deterministically as ERR FailedPrecondition.
 ///
-/// Workers never touch sockets: they append rendered frames
-/// to the connection's outbox and wake the poll loop, which flushes
-/// under POLLOUT. A malformed frame gets one ERR frame and a close —
+/// A worker appends each rendered frame to the connection's outbox;
+/// when the outbox was empty it also sends the frame itself
+/// (non-blocking, under the connection mutex), so a reply — a
+/// result-cache hit above all, which QueryService answers on the
+/// worker's own thread — reaches the wire without a hand-off. Only
+/// bytes the socket would not take (or a failed send) wake the poll
+/// loop, which flushes under POLLOUT and alone closes sockets. A
+/// malformed frame gets one ERR frame and a close —
 /// framing is unrecoverable once the length prefix is untrustworthy.
 /// An optional read/idle deadline (ServerOptions::idle_timeout_ms)
 /// closes connections that neither deliver bytes nor drain responses.
@@ -188,6 +195,10 @@ class Server {
   void CloseConn(const std::shared_ptr<Conn>& conn);
   /// Worker entry: drains `conn`'s request queue, one frame at a time.
   void ServeConnection(std::shared_ptr<Conn> conn);
+  /// Worker side of every reply: appends `response` as a frame, sends
+  /// it directly when nothing was queued ahead of it, and wakes the
+  /// poll loop only for what is left (or a failed send).
+  void Respond(Conn* conn, const std::string& response);
   /// Wakes the poll loop (self-pipe write; callable from any thread).
   void Wake();
 

@@ -26,6 +26,12 @@ CachedResult QueryCache::Get(const QueryKey& key) {
   return it->second->result;
 }
 
+CachedResult QueryCache::Peek(const QueryKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  return it == index_.end() ? nullptr : it->second->result;
+}
+
 void QueryCache::Put(const QueryKey& key, CachedResult result) {
   if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);

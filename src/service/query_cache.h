@@ -108,8 +108,12 @@ class QueryCache {
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
 
-  /// nullptr on miss; a hit refreshes recency.
+  /// nullptr on miss; a hit refreshes recency. Counts one hit or one
+  /// miss — call it once per request.
   CachedResult Get(const QueryKey& key);
+  /// Like Get, but counts nothing and leaves recency alone: for a
+  /// second look on behalf of a request whose Get already counted.
+  CachedResult Peek(const QueryKey& key) const;
   void Put(const QueryKey& key, CachedResult result);
 
   /// Drops every entry of `document` with version < `current_version`

@@ -28,6 +28,11 @@ double Micros(TraceClock::time_point from, TraceClock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
+QueryKey KeyFor(const DocumentSnapshot& snap, const PreparedQuery& query) {
+  return QueryKey{snap.name,       snap.version,         snap.generation,
+                  query.canonical, query.canonical_hash, query.kind};
+}
+
 }  // namespace
 
 QueryService::QueryService(DocumentStore* store, QueryServiceOptions options)
@@ -184,13 +189,38 @@ std::future<QueryResponse> QueryService::Submit(std::string document,
                                                 QueryHandle handle,
                                                 obs::TracePtr trace,
                                                 int trace_parent) {
+  const TraceClock::time_point submitted = TraceClock::now();
+  requests_->Add();
+
+  // A result-cache hit is answered here, on the caller's thread: no
+  // pool task, no queue, no index. This probe is the request's one
+  // counted cache lookup; a miss (or an unknown document, which the
+  // batch reports) joins the per-document queue below.
+  if (Result<SnapshotPtr> snap = store_->GetSnapshot(document); snap.ok()) {
+    if (CachedResult cached = cache_.Get(KeyFor(**snap, *handle))) {
+      const TraceClock::time_point answered = TraceClock::now();
+      query_us_->Observe(Micros(submitted, answered));
+      if (trace != nullptr) {
+        trace->SetStageNote(
+            trace->AddStageAbs("cache", submitted, answered, trace_parent),
+            "hit");
+      }
+      QueryResponse response;
+      response.items = std::move(cached);
+      response.version = (*snap)->version;
+      response.cache_hit = true;
+      std::promise<QueryResponse> promise;
+      promise.set_value(std::move(response));
+      return promise.get_future();
+    }
+  }
+
   Pending pending;
   pending.handle = std::move(handle);
   pending.trace = std::move(trace);
   pending.trace_parent = trace_parent;
-  pending.enqueued = TraceClock::now();
+  pending.enqueued = submitted;
   std::future<QueryResponse> future = pending.promise.get_future();
-  requests_->Add();
 
   bool schedule = false;
   {
@@ -330,10 +360,12 @@ QueryResponse QueryService::RunOne(const DocumentSnapshot& snap,
     }
   }
 
+  // Uncounted re-check (Submit counted this request's lookup): an
+  // earlier request of the same batch may have filled the entry, or
+  // the batch pinned a newer version than Submit probed.
   obs::TraceSpan cache_span(trace, "cache", parent);
-  QueryKey key{snap.name,       snap.version,         snap.generation,
-               query.canonical, query.canonical_hash, query.kind};
-  if (CachedResult cached = cache_.Get(key)) {
+  QueryKey key = KeyFor(snap, query);
+  if (CachedResult cached = cache_.Peek(key)) {
     cache_span.EndWithNote("hit");
     response.items = std::move(cached);
     response.cache_hit = true;

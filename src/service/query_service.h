@@ -137,7 +137,11 @@ struct QueryServiceOptions {
 /// query hash, kind)-keyed LRU cache — textually different but
 /// canonically identical queries share one entry — and a DocumentStore
 /// version listener invalidates a document's stale entries the moment
-/// an edit::Session commit publishes a new version.
+/// an edit::Session commit publishes a new version. Submit probes the
+/// cache before queueing, so a hit never leaves the submitting thread
+/// (a net worker answers it without a hand-off); only misses reach
+/// the batches, whose re-check of the cache is uncounted, so the
+/// hit/miss counters see each request exactly once.
 ///
 /// Writes batch symmetrically through the per-document WritePipeline
 /// (SubmitEdit / SubmitCommit), drained by a dedicated writer lane
@@ -162,12 +166,16 @@ class QueryService {
   /// the same shared object.
   Result<QueryHandle> Prepare(const std::string& query, QueryKind kind);
 
-  /// Asynchronous entry points: enqueue and return immediately. The
-  /// string form resolves the expression through the prepared-handle
-  /// cache (compiling on first sight) and otherwise behaves exactly
-  /// like the handle form. An optional trace rides along: the worker
-  /// adds queue/index/cache/eval stages under `trace_parent` as the
-  /// request moves through the batch pipeline.
+  /// Asynchronous entry points: probe the result cache, else enqueue,
+  /// and return immediately. A hit comes back as an already-satisfied
+  /// future — answered on the calling thread against the snapshot
+  /// current at submission, with no pool task and no index build. A
+  /// miss joins the document's batch queue. The string form resolves
+  /// the expression through the prepared-handle cache (compiling on
+  /// first sight) and otherwise behaves exactly like the handle form.
+  /// An optional trace rides along: a hit adds one `cache` stage
+  /// noted "hit"; a miss gets queue/index/cache/eval stages under
+  /// `trace_parent` as it moves through the batch pipeline.
   std::future<QueryResponse> Submit(QueryRequest request);
   std::future<QueryResponse> Submit(std::string document,
                                     QueryHandle handle,

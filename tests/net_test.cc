@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -854,6 +858,224 @@ TEST_F(NetTest, ServerStopsCleanlyWithLiveConnections) {
   EXPECT_FALSE(client.Ping().ok());
   // Stop is idempotent; Start-after-Stop is a fresh server elsewhere.
   server_->Stop();
+}
+
+// ------------------------------------------------- replies from workers
+
+/// A raw client socket whose receive buffer is shrunk before connect,
+/// so the advertised window stays small and a large response cannot
+/// fit in the server's send buffer in one go.
+Fd ConnectSmallWindow(uint16_t port) {
+  Fd fd(socket(AF_INET, SOCK_STREAM, 0));
+  EXPECT_TRUE(fd.valid());
+  int rcvbuf = 4096;
+  EXPECT_EQ(setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                       sizeof(rcvbuf)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
+                    sizeof(addr)),
+            0);
+  // A reply the server stops flushing fails the test instead of
+  // hanging it.
+  EXPECT_TRUE(SetRecvTimeout(fd, 10000).ok());
+  return fd;
+}
+
+/// Reads `count` whole frames off a blocking socket.
+std::vector<std::string> ReadFrames(const Fd& fd, size_t count) {
+  FrameDecoder decoder;
+  std::vector<std::string> frames;
+  std::vector<char> buffer(64 * 1024);
+  std::string payload;
+  while (frames.size() < count) {
+    while (frames.size() < count && decoder.Next(&payload)) {
+      frames.push_back(std::move(payload));
+    }
+    if (frames.size() == count) break;
+    auto n = RecvSome(fd, buffer.data(), buffer.size());
+    EXPECT_TRUE(n.ok()) << n.status();
+    if (!n.ok() || *n == 0) break;
+    EXPECT_TRUE(decoder.Feed(std::string_view(buffer.data(), *n)).ok());
+  }
+  return frames;
+}
+
+std::string QueryFrame(service::QueryKind kind, const std::string& body) {
+  Request request;
+  request.verb = Verb::kQuery;
+  request.document = "ms";
+  request.kind = kind;
+  request.body = body;
+  return EncodeFrame(RenderRequest(request));
+}
+
+/// Eight copies of the whole document per word: about 12 MB of reply
+/// from the small test corpus — more than loopback TCP will take in one
+/// send (tcp_wmem tops out at 4 MB by default).
+constexpr const char* kHugeQuery =
+    "for $w in //w return {concat(string(/), string(/), string(/), "
+    "string(/), string(/), string(/), string(/), string(/))}";
+
+/// One connection pipelines QRUNs for queries that are cached (answered
+/// on the net worker) and cold (answered by the query pool): replies
+/// come back in request order, hits and misses interleaved.
+TEST_F(NetTest, PipelinedQrunBurstMixingHitsAndMissesAnswersInOrder) {
+  const std::vector<std::string> queries = {
+      "concat('q0 ', count(//w))",    "concat('q1 ', count(//line))",
+      "concat('q2 ', count(//s))",    "concat('q3 ', count(//page))",
+      "concat('q4 ', count(//a0))",   "concat('q5 ', string(//w[3]))"};
+  std::vector<std::vector<std::string>> expected;
+  for (const std::string& q : queries) {
+    service::QueryResponse r =
+        service_->Execute({"ms", q, service::QueryKind::kXPath});
+    ASSERT_TRUE(r.ok()) << r.status;
+    expected.push_back(*r.items);
+  }
+  // Forget them, then re-warm only q0..q2: q3..q5 miss on first sight.
+  service_->cache().Clear();
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        service_->Execute({"ms", queries[i], service::QueryKind::kXPath})
+            .ok());
+  }
+
+  auto fd = ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  std::string wire;
+  for (const std::string& q : queries) {
+    Request prepare;
+    prepare.verb = Verb::kQueryPrepare;
+    prepare.kind = service::QueryKind::kXPath;
+    prepare.body = q;
+    AppendFrame(&wire, RenderRequest(prepare));
+  }
+  std::vector<size_t> order;
+  for (int round = 0; round < 4; ++round) {
+    for (size_t i : {0, 3, 1, 4, 2, 5}) order.push_back(i);
+  }
+  for (size_t i : order) {
+    Request run;
+    run.verb = Verb::kQueryRun;
+    run.document = "ms";
+    run.qid = i + 1;  // qids are handed out 1, 2, ... in QPREPARE order
+    AppendFrame(&wire, RenderRequest(run));
+  }
+  ASSERT_TRUE(SendAll(*fd, wire).ok());
+
+  std::vector<std::string> frames =
+      ReadFrames(*fd, queries.size() + order.size());
+  ASSERT_EQ(frames.size(), queries.size() + order.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto prepared = ParseResponse(frames[i]);
+    ASSERT_TRUE(prepared.ok() && prepared->ok()) << frames[i];
+    EXPECT_EQ(prepared->version, i + 1);
+  }
+  std::set<size_t> seen;
+  for (size_t k = 0; k < order.size(); ++k) {
+    auto response = ParseResponse(frames[queries.size() + k]);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->ok()) << response->status;
+    const size_t q = order[k];
+    EXPECT_EQ(response->items, expected[q]) << "reply " << k;
+    EXPECT_EQ(response->version, 1u);
+    if (seen.insert(q).second) {
+      // First sight: the warmed queries hit, the others miss.
+      EXPECT_EQ(response->cache_hit, q < 3) << "reply " << k;
+    } else {
+      EXPECT_TRUE(response->cache_hit) << "reply " << k;
+    }
+  }
+}
+
+/// A cached reply far larger than the socket send buffer, to a client
+/// that reads late through a small window: the worker's direct send
+/// stops at EAGAIN and the poll thread delivers the rest intact.
+TEST_F(NetTest, LargeReplyToSlowReaderArrivesIntact) {
+  service::QueryResponse expected =
+      service_->Execute({"ms", kHugeQuery, service::QueryKind::kXQuery});
+  ASSERT_TRUE(expected.ok()) << expected.status;
+  const std::string rendered = EncodeFrame(
+      RenderItems(*expected.items, expected.version, true));
+  ASSERT_GT(rendered.size(), 8u << 20) << "reply too small to test";
+
+  Fd fd = ConnectSmallWindow(server_->port());
+  ASSERT_TRUE(fd.valid());
+  // Alone on the connection, so no later reply's wake-up can rescue a
+  // remainder the worker failed to hand to the poll thread.
+  ASSERT_TRUE(
+      SendAll(fd, QueryFrame(service::QueryKind::kXQuery, kHugeQuery)).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::vector<std::string> frames = ReadFrames(fd, 1);
+  ASSERT_EQ(frames.size(), 1u);
+  auto big = ParseResponse(frames[0]);
+  ASSERT_TRUE(big.ok()) << big.status();
+  ASSERT_TRUE(big->ok()) << big->status;
+  EXPECT_TRUE(big->cache_hit);
+  EXPECT_EQ(big->items, *expected.items);
+
+  // Pipelined behind another large reply, a small one still follows it.
+  ASSERT_TRUE(
+      SendAll(fd, QueryFrame(service::QueryKind::kXQuery, kHugeQuery) +
+                      QueryFrame(service::QueryKind::kXPath, "count(//w)"))
+          .ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  frames = ReadFrames(fd, 2);
+  ASSERT_EQ(frames.size(), 2u);
+  big = ParseResponse(frames[0]);
+  ASSERT_TRUE(big.ok() && big->ok()) << big.status();
+  EXPECT_EQ(big->items, *expected.items);
+  auto small = ParseResponse(frames[1]);
+  ASSERT_TRUE(small.ok() && small->ok()) << frames[1].substr(0, 80);
+  EXPECT_EQ(small->items.size(), 1u);
+}
+
+/// Peers that vanish mid-response — reset before the reply, or after
+/// reading part of it — neither crash the server nor leave the
+/// open-connection gauge off.
+TEST_F(NetTest, PeerClosingMidResponseKeepsGaugeExact) {
+  ASSERT_TRUE(service_
+                  ->Execute({"ms", kHugeQuery, service::QueryKind::kXQuery})
+                  .ok());
+  obs::Gauge* open_conns =
+      service_->registry()->GetGauge("cxml_server_open_conns");
+  const int64_t before = open_conns->Value();
+
+  for (int round = 0; round < 6; ++round) {
+    Fd fd = ConnectSmallWindow(server_->port());
+    ASSERT_TRUE(fd.valid());
+    ASSERT_TRUE(
+        SendAll(fd, QueryFrame(service::QueryKind::kXQuery, kHugeQuery))
+            .ok());
+    if (round % 2 == 1) {
+      char buffer[1024];
+      auto n = RecvSome(fd, buffer, sizeof(buffer));
+      ASSERT_TRUE(n.ok()) << n.status();
+    }
+    if (round % 3 == 0) {
+      // Abortive close: the server's next send sees ECONNRESET/EPIPE.
+      linger hard{1, 0};
+      ASSERT_EQ(setsockopt(fd.get(), SOL_SOCKET, SO_LINGER, &hard,
+                           sizeof(hard)),
+                0);
+    }
+    fd.Close();
+  }
+
+  for (int i = 0; i < 500 && open_conns->Value() != before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(open_conns->Value(), before);
+
+  Client client = Connect();
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_EQ(open_conns->Value(), before + 1);
+  auto count = client.Query("ms", "count(//w)", service::QueryKind::kXPath);
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_TRUE(count->ok());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <future>
 #include <memory>
@@ -688,7 +689,8 @@ TEST_F(ServiceTest, ExternalRegistryReceivesStageHistograms) {
   EXPECT_EQ(
       registry.GetCounter("cxml_service_requests_total")->Value(), 2u);
   EXPECT_EQ(registry.GetHistogram("cxml_query_us")->Count(), 2u);
-  EXPECT_EQ(registry.GetHistogram("cxml_query_queue_us")->Count(), 2u);
+  // Only the miss queued; the hit was answered at Submit.
+  EXPECT_EQ(registry.GetHistogram("cxml_query_queue_us")->Count(), 1u);
   // Only the cache miss evaluated; the hit skipped the engines.
   EXPECT_EQ(registry.GetHistogram("cxml_query_eval_us")->Count(), 1u);
   // The evaluator's axis-strategy tallies flowed up as counters.
@@ -725,6 +727,136 @@ TEST_F(ServiceTest, SubmittedTraceCollectsServiceStages) {
   // A cache miss is noted on the cache stage, the axis summary on eval.
   EXPECT_NE(rendered.find("(miss)"), std::string::npos) << rendered;
   EXPECT_NE(rendered.find("indexed="), std::string::npos) << rendered;
+}
+
+// ------------------------------------------------ hits at submit
+
+/// A hit is answered on the submitting thread: the future is already
+/// satisfied when Submit returns, and no batch (pool task) ran for it.
+TEST_F(ServiceTest, HitResolvesAtSubmitWithoutPoolTask) {
+  QueryService service(&store_, {1, 64});
+  auto handle = service.Prepare("count(//w)", QueryKind::kXPath);
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  QueryResponse cold = service.Execute("ms", *handle);
+  ASSERT_TRUE(cold.ok()) << cold.status;
+  ASSERT_FALSE(cold.cache_hit);
+  const uint64_t batches = service.stats().batches;
+
+  std::future<QueryResponse> future = service.Submit("ms", *handle);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  QueryResponse hit = future.get();
+  ASSERT_TRUE(hit.ok()) << hit.status;
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.version, 1u);
+  EXPECT_EQ(hit.items.get(), cold.items.get());
+  EXPECT_EQ(service.stats().batches, batches);
+  EXPECT_EQ(service.stats().requests, 2u);
+}
+
+/// A commit makes the next read miss and answer the new version; no
+/// response, however it raced the commits, carries an answer from a
+/// version older than the one current when it was submitted.
+TEST_F(ServiceTest, CommitMissesThenAnswersNewVersionNeverStale) {
+  QueryService service(&store_, {2, 64});
+  auto handle = service.Prepare("count(//a0)", QueryKind::kXPath);
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  QueryResponse base = service.Execute("ms", *handle);
+  ASSERT_TRUE(base.ok()) << base.status;
+  const int base_count = std::stoi((*base.items)[0]);
+  ASSERT_TRUE(service.Execute("ms", *handle).cache_hit);
+
+  // Each commit adds one <a0>, so version v answers base + (v - 1).
+  ASSERT_EQ(CommitAnnotation(100), 2u);
+  QueryResponse fresh = service.Execute("ms", *handle);
+  ASSERT_TRUE(fresh.ok()) << fresh.status;
+  EXPECT_FALSE(fresh.cache_hit);
+  EXPECT_EQ(fresh.version, 2u);
+  EXPECT_EQ(std::stoi((*fresh.items)[0]), base_count + 1);
+  QueryResponse again = service.Execute("ms", *handle);
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_EQ(again.version, 2u);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> stale{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        const uint64_t before = store_.GetVersion("ms").value_or(0);
+        QueryResponse response = service.Execute("ms", *handle);
+        if (!response.ok() || response.version < before) {
+          ++stale;
+          continue;
+        }
+        if (std::stoi((*response.items)[0]) !=
+            base_count + static_cast<int>(response.version) - 1) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (int c = 0; c < 6; ++c) CommitAnnotation(static_cast<size_t>(300 + 60 * c));
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+  QueryResponse last = service.Execute("ms", *handle);
+  EXPECT_EQ(last.version, 8u);
+  EXPECT_EQ(std::stoi((*last.items)[0]), base_count + 7);
+}
+
+/// Every request that reaches the cache counts exactly one hit or one
+/// miss — the batch's re-check is uncounted — and a burst of identical
+/// misses still evaluates once.
+TEST_F(ServiceTest, HitAndMissCountersSumToRequests) {
+  QueryService service(&store_, {1, 64});
+  std::vector<QueryRequest> burst(
+      16, QueryRequest{"ms", "count(//line)", QueryKind::kXPath});
+  for (const QueryResponse& r : service.ExecuteAll(burst)) {
+    ASSERT_TRUE(r.ok()) << r.status;
+  }
+  EXPECT_EQ(service.registry()->GetHistogram("cxml_query_eval_us")->Count(),
+            1u);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(service.Execute({"ms", "count(//line)", QueryKind::kXPath})
+                    .cache_hit);
+  }
+  ASSERT_TRUE(service.Execute({"ms", "count(//s)", QueryKind::kXPath}).ok());
+  CommitAnnotation(100);
+  ASSERT_FALSE(service.Execute({"ms", "count(//line)", QueryKind::kXPath})
+                   .cache_hit);
+
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, 26u);
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses, stats.requests);
+  EXPECT_GE(stats.cache.hits, 8u);
+}
+
+/// A hit's trace is one `cache` stage noted "hit": it never queued.
+TEST_F(ServiceTest, HitTraceHasCacheHitAndNoQueue) {
+  QueryService service(&store_, {2, 64});
+  auto handle = service.Prepare("count(//w)", QueryKind::kXPath);
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  ASSERT_TRUE(service.Execute("ms", *handle).ok());
+
+  obs::TracePtr trace = service.tracer().Start();
+  ASSERT_NE(trace, nullptr);
+  int parent = trace->StartStage("service");
+  QueryResponse response = service.Execute("ms", *handle, trace, parent);
+  trace->EndStage(parent);
+  ASSERT_TRUE(response.cache_hit);
+  service.tracer().Finish(trace);
+
+  std::vector<std::string> recent = service.tracer().Recent(1);
+  ASSERT_EQ(recent.size(), 1u);
+  const std::string& rendered = recent[0];
+  EXPECT_NE(rendered.find("cache "), std::string::npos) << rendered;
+  EXPECT_NE(rendered.find("(hit)"), std::string::npos) << rendered;
+  EXPECT_EQ(rendered.find("queue "), std::string::npos) << rendered;
+  EXPECT_EQ(rendered.find("index "), std::string::npos) << rendered;
+  EXPECT_EQ(rendered.find("eval "), std::string::npos) << rendered;
 }
 
 }  // namespace
