@@ -1,55 +1,15 @@
 #ifndef CXML_BENCH_BENCH_UTIL_H_
 #define CXML_BENCH_BENCH_UTIL_H_
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <vector>
+#include <tuple>
 
-#include "obs/metrics.h"
-#include "storage/binary.h"
 #include "workload/generator.h"
 
 namespace cxml::bench {
-
-/// Average microseconds per deep copy of `g` over `reps` repetitions —
-/// the structural storage::Clone by default, the Save/Load
-/// CloneViaSnapshot baseline when `via_snapshot`. One implementation
-/// feeds both BENCH_*.json emitters so their clone_us figures stay
-/// comparable across PRs.
-inline double MeasureCloneUs(const goddag::Goddag& g, int reps,
-                             bool via_snapshot = false) {
-  auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < reps; ++i) {
-    auto copy =
-        via_snapshot ? storage::CloneViaSnapshot(g) : storage::Clone(g);
-    if (!copy.ok()) {
-      std::fprintf(stderr, "clone failed: %s\n",
-                   copy.status().ToString().c_str());
-      std::abort();
-    }
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       t0)
-             .count() *
-         1e6 / reps;
-}
-
-/// Percentile via obs::Histogram — the benches report through the same
-/// fixed-bucket log-scale estimator the server's METRICS exposition
-/// uses, so a BENCH_*.json p50 and a scraped cxml_query_us_p50 are
-/// directly comparable (both carry the histogram's ~9% bucket
-/// resolution). Keeps the pre-obs signature; `samples` is no longer
-/// mutated but stays a pointer so call sites don't churn.
-inline double Percentile(std::vector<double>* samples, double p) {
-  if (samples->empty()) return 0;
-  obs::Histogram histogram;
-  for (double sample : *samples) histogram.Observe(sample);
-  return histogram.Percentile(p);
-}
 
 /// Cache of generated corpora keyed by (content size, extra hierarchies,
 /// annotation density*10): benchmark iterations must not pay generation

@@ -44,15 +44,17 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "net/client.h"
+#include "net/frame.h"
 
 namespace {
 
@@ -115,6 +117,20 @@ Result<std::string> ReadFile(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// Parses a numeric argument of decimal digits that fits `T`.
+/// Signs, blanks, trailing garbage and overflow are rejected, so a typo
+/// earns usage instead of a silently different request.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  uint64_t value = 0;
+  if (!net::ParseDecimalU64(text, &value) ||
+      value > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
 }
 
 /// Parses the "xpath" | "xquery" token; false earns usage.
@@ -221,16 +237,16 @@ int CmdEdit(net::Client& client, const Args& args) {
   if (args.size() < 4) return Usage();
   std::vector<net::EditOp> ops;
   for (size_t a = 1; a < args.size();) {
-    if (args[a] == "select" && a + 2 < args.size()) {
-      ops.push_back(net::EditOp::Select(
-          std::strtoul(args[a + 1].c_str(), nullptr, 10),
-          std::strtoul(args[a + 2].c_str(), nullptr, 10)));
+    size_t begin = 0;
+    size_t end = 0;
+    cmh::HierarchyId hierarchy = 0;
+    if (args[a] == "select" && a + 2 < args.size() &&
+        ParseNumber(args[a + 1], &begin) && ParseNumber(args[a + 2], &end)) {
+      ops.push_back(net::EditOp::Select(begin, end));
       a += 3;
-    } else if (args[a] == "apply" && a + 2 < args.size()) {
-      ops.push_back(net::EditOp::Apply(
-          static_cast<cmh::HierarchyId>(
-              std::strtoul(args[a + 1].c_str(), nullptr, 10)),
-          args[a + 2]));
+    } else if (args[a] == "apply" && a + 2 < args.size() &&
+               ParseNumber(args[a + 1], &hierarchy)) {
+      ops.push_back(net::EditOp::Apply(hierarchy, args[a + 2]));
       a += 3;
     } else {
       return Usage();
@@ -294,8 +310,7 @@ int CmdTrace(net::Client& client, const Args& args) {
   if (args.size() > 1) return Usage();
   uint64_t n = 10;
   if (!args.empty()) {
-    n = std::strtoull(args[0].c_str(), nullptr, 10);
-    if (n == 0) return Usage();
+    if (!ParseNumber(args[0], &n) || n == 0) return Usage();
   }
   auto traces = client.Traces(n);
   if (!traces.ok()) return Fail(traces.status());
@@ -434,7 +449,7 @@ int main(int argc, char** argv) {
     if (arg == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!ParseNumber(argv[++i], &port)) return Usage();
     } else {
       break;
     }

@@ -51,15 +51,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "fault/injector.h"
 #include "goddag/builder.h"
+#include "net/frame.h"
 #include "net/server.h"
 #include "service/document_store.h"
 #include "service/query_service.h"
@@ -95,6 +97,20 @@ int Usage() {
   return 2;
 }
 
+/// Parses a flag value of decimal digits that fits `T` (0 is valid).
+/// Signs, blanks, trailing garbage and overflow are rejected, so a typo
+/// earns usage instead of a silently different setting.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  uint64_t value = 0;
+  if (!net::ParseDecimalU64(text, &value) ||
+      value > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,20 +132,19 @@ int main(int argc, char** argv) {
     };
     if (arg == "--port") {
       const char* v = next();
-      if (v == nullptr) return Usage();
-      options.port = static_cast<uint16_t>(std::strtoul(v, nullptr, 10));
+      if (v == nullptr || !ParseNumber(v, &options.port)) return Usage();
     } else if (arg == "--bind") {
       const char* v = next();
       if (v == nullptr) return Usage();
       options.bind_address = v;
     } else if (arg == "--workers") {
       const char* v = next();
-      if (v == nullptr) return Usage();
-      options.num_workers = std::strtoul(v, nullptr, 10);
+      if (v == nullptr || !ParseNumber(v, &options.num_workers)) {
+        return Usage();
+      }
     } else if (arg == "--content-chars") {
       const char* v = next();
-      if (v == nullptr) return Usage();
-      content_chars = std::strtoul(v, nullptr, 10);
+      if (v == nullptr || !ParseNumber(v, &content_chars)) return Usage();
     } else if (arg == "--doc") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -145,17 +160,21 @@ int main(int argc, char** argv) {
       options.allow_register = false;
     } else if (arg == "--slow-query-us") {
       const char* v = next();
-      if (v == nullptr) return Usage();
-      options.slow_query_us = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || !ParseNumber(v, &options.slow_query_us)) {
+        return Usage();
+      }
     } else if (arg == "--trace-sample-every") {
       const char* v = next();
-      if (v == nullptr) return Usage();
-      service_options.trace_sample_every =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (v == nullptr ||
+          !ParseNumber(v, &service_options.trace_sample_every)) {
+        return Usage();
+      }
     } else if (arg == "--trace-ring") {
       const char* v = next();
-      if (v == nullptr) return Usage();
-      service_options.trace_ring_capacity = std::strtoul(v, nullptr, 10);
+      if (v == nullptr ||
+          !ParseNumber(v, &service_options.trace_ring_capacity)) {
+        return Usage();
+      }
     } else if (arg == "--data-dir") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -163,12 +182,18 @@ int main(int argc, char** argv) {
     } else if (arg == "--fsync-every-ms") {
       const char* v = next();
       if (v == nullptr) return Usage();
-      wal_options.fsync_every_ms =
-          static_cast<int>(std::strtol(v, nullptr, 10));
+      // Negative is the documented no-wait mode (see WalOptions).
+      const bool negative = v[0] == '-';
+      if (!ParseNumber(v + (negative ? 1 : 0), &wal_options.fsync_every_ms)) {
+        return Usage();
+      }
+      if (negative) wal_options.fsync_every_ms = -wal_options.fsync_every_ms;
     } else if (arg == "--checkpoint-every") {
       const char* v = next();
-      if (v == nullptr) return Usage();
-      wal_options.checkpoint_every_records = std::strtoull(v, nullptr, 10);
+      if (v == nullptr ||
+          !ParseNumber(v, &wal_options.checkpoint_every_records)) {
+        return Usage();
+      }
     } else if (arg == "--follow") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -185,8 +210,7 @@ int main(int argc, char** argv) {
       fault_enabled = true;
     } else if (arg == "--fault-seed") {
       const char* v = next();
-      if (v == nullptr) return Usage();
-      fault_seed = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || !ParseNumber(v, &fault_seed)) return Usage();
       fault_enabled = true;
     } else {
       return Usage();
@@ -197,12 +221,12 @@ int main(int argc, char** argv) {
   if (!follow_target.empty()) {
     size_t colon = follow_target.rfind(':');
     if (colon == std::string::npos || colon == 0 ||
-        colon + 1 == follow_target.size()) {
+        !ParseNumber(std::string_view(follow_target).substr(colon + 1),
+                   &follower_options.port) ||
+        follower_options.port == 0) {
       return Usage();
     }
     follower_options.host = follow_target.substr(0, colon);
-    follower_options.port = static_cast<uint16_t>(
-        std::strtoul(follow_target.c_str() + colon + 1, nullptr, 10));
     // The replica's history is the primary's: reject local writers.
     options.read_only = true;
     options.allow_register = false;

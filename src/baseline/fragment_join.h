@@ -16,8 +16,8 @@ namespace cxml::baseline {
 /// elements from their fragments by joining on the glue ids — the cost a
 /// standard XPath/XSLT user pays today.
 ///
-/// Used by bench/bench_query as the comparator for the GODDAG
-/// `overlapping` axis (T-QUERY in DESIGN.md).
+/// drivers_test and integration_test use it as the comparator for the
+/// GODDAG `overlapping` axis.
 
 /// One logical element reassembled from fragments.
 struct JoinedElement {

@@ -179,7 +179,6 @@ class Registry {
 
   /// The same snapshot as one JSON object: counters/gauges as numbers,
   /// histograms as {"count":..,"sum":..,"p50":..,"p90":..,"p99":..}.
-  /// Embedded by the bench drivers into their BENCH_*.json.
   std::string RenderJson() const;
 
   /// The process-wide default instance (never destroyed).

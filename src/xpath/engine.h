@@ -99,13 +99,6 @@ class XPathEngine {
     evaluator_.SetAxisStrategy(strategy);
   }
 
-  /// Enables/disables pushing compiled positional predicates into the
-  /// SnapshotIndex pool scans (on by default; the off position is the
-  /// window-materialising oracle the benches compare against).
-  void SetPositionalPushdown(bool enabled) {
-    evaluator_.SetPositionalPushdown(enabled);
-  }
-
   /// Call after mutating the GODDAG: clears evaluator indexes (the parse
   /// cache stays — expressions do not depend on the instance).
   void InvalidateIndexes() { evaluator_.Reset(); }

@@ -256,7 +256,7 @@ Result<NodeSet> Evaluator::AxisNodes(const Step& step, const NodeEntry& ctx) {
       };
       if (ctx.is_document()) {
         add_node(g_->root());
-        if (strategy_ == AxisStrategy::kIndexed && UsePositional(step)) {
+        if (UsePositional(step)) {
           ++stats_.pushdown_axes;
           // The root is document-order first; any pool node beats it
           // for [last()].

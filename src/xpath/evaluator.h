@@ -83,17 +83,6 @@ class Evaluator {
   void SetAxisStrategy(AxisStrategy strategy) { strategy_ = strategy; }
   AxisStrategy axis_strategy() const { return strategy_; }
 
-  /// Enables/disables the compiled positional pushdown (StepPlan in
-  /// ast.h): a descendant/child step whose leading predicate is [1] or
-  /// [last()] selects its single node straight from the SnapshotIndex
-  /// pool instead of materialising the full axis window. On by
-  /// default; only takes effect under AxisStrategy::kIndexed on steps
-  /// annotated by xpath::Compile, so the naive scans stay the oracle.
-  void SetPositionalPushdown(bool enabled) {
-    positional_pushdown_ = enabled;
-  }
-  bool positional_pushdown() const { return positional_pushdown_; }
-
   /// Adopts a prebuilt index over the same GODDAG — typically the one
   /// memoized on a service::DocumentSnapshot, so every engine pinned to
   /// a published version shares one build. Without this, the evaluator
@@ -142,17 +131,19 @@ class Evaluator {
   /// live, Value::Normalize otherwise (identical order either way).
   void NormalizeSet(NodeSet* set);
 
-  /// True when `step` should resolve through the positional pushdown
-  /// (plan present, pushdown enabled, indexed strategy).
+  /// True when `step` should resolve through the compiled positional
+  /// pushdown (StepPlan in ast.h): a descendant or child step whose
+  /// leading predicate is [1] or [last()] selects its single node
+  /// instead of materialising the whole axis window. Indexed strategy
+  /// only, so the naive scans stay the oracle.
   bool UsePositional(const Step& step) const {
-    return positional_pushdown_ && strategy_ == AxisStrategy::kIndexed &&
+    return strategy_ == AxisStrategy::kIndexed &&
            step.plan.positional != StepPlan::Positional::kNone;
   }
 
   const goddag::Goddag* g_;
   std::map<std::string, Value> variables_;
   AxisStrategy strategy_ = AxisStrategy::kIndexed;
-  bool positional_pushdown_ = true;
   std::shared_ptr<const goddag::SnapshotIndex> index_;
   AxisStats stats_;
   /// Reused axis-result buffer (AxisNodes never recurses while filling).

@@ -132,11 +132,6 @@ class XQueryEngine {
     xpath_.SetAxisStrategy(strategy);
   }
 
-  /// Forwards the positional-pushdown toggle to the embedded engine.
-  void SetPositionalPushdown(bool enabled) {
-    xpath_.SetPositionalPushdown(enabled);
-  }
-
   /// Axis-strategy tallies of the embedded engine (see
   /// xpath::AxisStats); every path expression a query runs accumulates
   /// here until the next reset.

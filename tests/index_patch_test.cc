@@ -22,6 +22,7 @@
 #include "edit/session.h"
 #include "goddag/builder.h"
 #include "goddag/index_delta.h"
+#include "obs/metrics.h"
 #include "sacx/goddag_handler.h"
 #include "service/document_store.h"
 #include "service/query_service.h"
@@ -320,6 +321,84 @@ TEST(IndexPatchRandomized, EditThenQuerySweepStaysEquivalent) {
   }
   // The rounds must have actually exercised the patch path.
   ASSERT_GE(commits, 4u);
+}
+
+// ------------------------------------------- write-heavy service trace
+
+/// An all-writes trace through QueryService::ExecuteEdit on the 20k
+/// manuscript, read right after every publish: the first read must
+/// miss the cache and answer at the committed version, and the index it
+/// paid for must be patched and match a fresh SnapshotIndex pool for
+/// pool and answer for answer. Across the trace the incremental path
+/// must carry the load — more patched cold builds than full rebuilds.
+TEST(IndexPatchService, WriteHeavyTraceMatchesFreshIndexes) {
+  workload::GeneratorParams params;
+  params.content_chars = 20'000;
+  auto corpus = workload::GenerateManuscript(params);
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  auto built = goddag::Builder::Build(*corpus->doc);
+  ASSERT_TRUE(built.ok()) << built.status();
+  auto bytes = storage::Save(*built);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+
+  service::DocumentStore store;
+  ASSERT_TRUE(store.RegisterBytes("ms", *bytes).ok());
+  service::QueryService service(
+      &store, service::QueryServiceOptions{/*num_threads=*/2,
+                                           /*cache_capacity=*/64});
+  const service::QueryRequest hot{"ms", "//w[overlapping::line]",
+                                  service::QueryKind::kXPath};
+  // Builds the base version's index, so the first commit has a
+  // predecessor to patch from.
+  ASSERT_TRUE(service.Execute(hot).ok());
+
+  workload::TrafficParams writes;
+  writes.content_chars = params.content_chars;
+  writes.write_fraction = 1.0;
+  writes.num_ops = 80;
+  writes.seed = 4242;
+  auto ops = workload::GenerateTraffic(writes);
+  ASSERT_TRUE(ops.ok()) << ops.status();
+  size_t commits = 0;
+  for (const workload::TrafficOp& op : *ops) {
+    ASSERT_EQ(op.kind, workload::TrafficOp::Kind::kEdit);
+    service::EditResponse committed = service.ExecuteEdit(
+        "ms", [&op](edit::EditSession& session) -> Status {
+          CXML_RETURN_IF_ERROR(session.Select(op.edit_chars));
+          return session.Apply(op.edit_hierarchy, op.edit_tag).status();
+        });
+    // Same-hierarchy collisions reject the op-set; that is normal
+    // traffic, not a failure.
+    if (!committed.ok()) continue;
+    ++commits;
+
+    service::QueryResponse first = service.Execute(hot);
+    ASSERT_TRUE(first.ok()) << first.status;
+    EXPECT_FALSE(first.cache_hit) << "version " << committed.version;
+    EXPECT_EQ(first.version, committed.version);
+
+    auto snap = store.GetSnapshot("ms");
+    ASSERT_TRUE(snap.ok());
+    ASSERT_EQ((*snap)->version, committed.version);
+    const goddag::Goddag& g = *(*snap)->goddag;
+    EXPECT_TRUE((*snap)->index_patched()) << "version " << committed.version;
+    ExpectIndexMatchesFresh(g, (*snap)->Index());
+    xpath::XPathEngine via_snapshot(g);
+    via_snapshot.UseSnapshotIndex((*snap)->IndexPtr());
+    xpath::XPathEngine via_fresh(g);
+    via_fresh.UseSnapshotIndex(std::make_shared<const SnapshotIndex>(g));
+    for (const char* query :
+         {"//w[overlapping::line]", "//line//w", "//w/ancestor::line"}) {
+      auto a = via_snapshot.EvaluateToStrings(query);
+      auto b = via_fresh.EvaluateToStrings(query);
+      ASSERT_TRUE(a.ok() && b.ok()) << query;
+      EXPECT_EQ(*a, *b) << query << " at version " << committed.version;
+    }
+  }
+  ASSERT_GT(commits, 0u);
+  obs::Registry* registry = service.registry();
+  EXPECT_GT(registry->GetCounter("cxml_index_patch_total")->Value(),
+            registry->GetCounter("cxml_index_rebuild_total")->Value());
 }
 
 // ------------------------------------------------------- fallback paths

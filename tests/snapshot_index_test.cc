@@ -129,6 +129,42 @@ TEST_P(SnapshotIndexPropertyTest, IndexedAxesMatchNaiveScans) {
   ExpectStrategiesAgree(*g_);
 }
 
+// The manuscript size the global-axis queries are quoted at (20,000
+// characters, 2 extra hierarchies — where //line//w gives 135
+// answers): the indexed engine must count exactly like the naive scans
+// on the descendant, ancestor and overlapping shapes, and must have
+// answered every global axis from the pools.
+TEST(SnapshotIndexEquivalence, Manuscript20kGlobalAxes) {
+  workload::GeneratorParams params;
+  params.content_chars = 20'000;
+  params.extra_hierarchies = 2;
+  auto corpus = workload::GenerateManuscript(params);
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  auto g = sacx::ParseToGoddag(*corpus->cmh, corpus->SourceViews());
+  ASSERT_TRUE(g.ok()) << g.status();
+
+  xpath::XPathEngine indexed(*g);
+  indexed.UseSnapshotIndex(std::make_shared<const SnapshotIndex>(*g));
+  xpath::XPathEngine naive(*g);
+  naive.SetAxisStrategy(xpath::AxisStrategy::kNaiveScan);
+  // //line//w reaches a w only as the child of a node some line
+  // dominates (w and line live in different hierarchies, so just 135
+  // qualify); //line/descendant::w scans each line's window of the w
+  // pool directly.
+  for (const char* query :
+       {"count(//line//w)", "count(//line/descendant::w)",
+        "count(//w/ancestor::line)", "count(//w[overlapping::line])"}) {
+    auto a = indexed.Evaluate(query);
+    auto b = naive.Evaluate(query);
+    ASSERT_TRUE(a.ok()) << query << ": " << a.status();
+    ASSERT_TRUE(b.ok()) << query << ": " << b.status();
+    EXPECT_GT(a->ToNumber(*g), 0) << query;
+    EXPECT_EQ(a->ToNumber(*g), b->ToNumber(*g)) << query;
+  }
+  EXPECT_EQ(indexed.axis_stats().naive_axes, 0u);
+  EXPECT_GT(indexed.axis_stats().indexed_axes, 0u);
+}
+
 // P-IDX2: the O(1) relations agree with their definitions on random
 // node pairs — rank order vs Goddag::Before, Dominates vs the naive
 // containment + tree-ancestor disambiguation.
